@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint lint-fix lint-sarif lint-taint test race verify bench-lint bench-obs bench-queue bench-taint bench-baseline benchdiff coverage-md report cover smoke
+.PHONY: build vet lint lint-fix lint-sarif lint-taint test race test-perfbench verify bench-lint bench-obs bench-queue bench-taint bench-baseline benchdiff coverage-md report cover smoke
 
 # Minimum statement coverage enforced by `make cover`, per package.
 COVER_FLOOR_OBS  ?= 85.0
@@ -34,14 +34,20 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The repository benchmark (perfbench/) is its own module, outside
+# ./...; testing it here means a change to an API it uses (the grid
+# engine, controlplane.Server, DecodeRequest, TenantStats) cannot
+# silently break it.
+test-perfbench:
+	cd perfbench && $(GO) test ./...
+
 # verify is tier-1 plus the migration gate: reconlint's deprecatedshim
-# analyzer fails the lint step if any deprecated alias (sim.EventQueue,
-# reconvirt.SimConfig, DefaultSimConfig, ...) gains a new call site —
-# the committed tree carries zero, so any use is new. benchdiff is the
-# perf-regression contract: the gated benchmark families are re-run and
-# compared against the committed BENCH_PR10.json baseline; an alloc or
-# model-metric regression beyond the noise budget fails verify.
-verify: build vet lint test race benchdiff
+# analyzer fails the lint step if any deprecated declaration gains a
+# call site. benchdiff is the perf-regression contract: the gated
+# benchmark families are re-run and compared against the committed
+# BENCH_PR10.json baseline; an alloc or model-metric regression beyond
+# the noise budget fails verify.
+verify: build vet lint test race test-perfbench benchdiff
 
 # Regenerate the committed linter benchmark snapshot.
 bench-lint:

@@ -10,11 +10,11 @@ import (
 
 // BenchmarkControlPlane measures the in-process cost of the full
 // submit/execute/drain path under faults: admission (token bucket, jss
-// validation, cost quote), per-tenant matchmaking, the fault/retry
-// window, and MTTR accounting. It reports the model's own counters as
-// custom metrics, so the perf-regression gate also pins the control
-// plane's semantics: any drift in completions or repair totals at a
-// fixed seed is a model change, not noise.
+// validation, cost quote) and each tenant's grid engine — matchmaking,
+// leases, fault detection, retries, and MTTR accounting. It reports the
+// model's own counters as custom metrics, so the perf-regression gate
+// also pins the control plane's semantics: any drift in completions or
+// repair totals at a fixed seed is a model change, not noise.
 func BenchmarkControlPlane(b *testing.B) {
 	b.ReportAllocs()
 	var completed, faultAborts, repairSeconds float64

@@ -87,6 +87,73 @@ func TestDumpStateGolden(t *testing.T) {
 	compareGolden(t, "dump_state.golden", []byte(dump))
 }
 
+// cleanGoldenServer runs a fault-free scenario: two tenants per tier,
+// every wire scenario and every catalog design on each tier's slice,
+// data-carrying tasks, and cancels of queued, done and unknown tasks,
+// drained to completion. Without faults the dump is a pure function of
+// placement, reconfiguration, synthesis, execution time and cost, so it
+// pins the execution model itself.
+func cleanGoldenServer(t *testing.T) *Server {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Shards = 3
+	cfg.Seed = 21
+	s := newTestServer(t, cfg)
+	mustOK(t, s.Do(Request{Op: OpPause}))
+	tenants := []struct{ name, tier string }{
+		{"fir", "full"}, {"fjord", "full"},
+		{"vale", "virtualized"}, {"vista", "virtualized"},
+		{"bay", "background"}, {"brook", "background"},
+	}
+	designs := []string{"aes128", "fft1024", "fir64", "matmul32", "pairalign-core", "malign-core"}
+	for i, tn := range tenants {
+		n := 0
+		submit := func(ts *TaskSpec) {
+			ts.ID = fmt.Sprintf("%s-%02d", tn.name, n)
+			n++
+			// Some userhw designs do not fit the smaller slices; their
+			// rejection or eviction is part of the pinned behaviour.
+			s.Do(Request{Op: OpSubmit, Tenant: tn.name, Tier: tn.tier, Task: ts})
+		}
+		for j := 0; j < 3; j++ {
+			mi := float64(500 + 1700*j + 300*i)
+			submit(&TaskSpec{WorkMI: mi, Parallel: 0.2 * float64(j)})
+			submit(&TaskSpec{WorkMI: mi / 2, Scenario: "softcore", Parallel: 0.5, DataMB: float64(4 * j)})
+			submit(&TaskSpec{WorkMI: 2 * mi, Scenario: "userhw", Design: designs[(i+j)%len(designs)], Parallel: 0.9})
+			submit(&TaskSpec{WorkMI: mi, Scenario: "userhw", Design: designs[(i+j+3)%len(designs)], DataMB: 8})
+		}
+		// Repeat a design so a resident configuration is reused.
+		submit(&TaskSpec{WorkMI: 3000, Scenario: "userhw", Design: designs[i%len(designs)], Parallel: 0.7})
+		s.Do(Request{Op: OpCancel, Tenant: tn.name, TaskID: fmt.Sprintf("%s-%02d", tn.name, 1+i%4)})
+		s.Do(Request{Op: OpCancel, Tenant: tn.name, TaskID: "missing"})
+	}
+	mustOK(t, s.Do(Request{Op: OpResume}))
+	mustOK(t, s.Do(Request{Op: OpDrain}))
+	// Cancels after the drain find terminal tasks.
+	s.Do(Request{Op: OpCancel, Tenant: "vale", TaskID: "vale-00"})
+	s.Do(Request{Op: OpCancel, Tenant: "bay", TaskID: "bay-05"})
+	return s
+}
+
+// TestDumpStateCleanGolden pins the fault-free snapshot byte for byte:
+// counters, virtual clocks, costs, each slice's resident fabric, and
+// every tenant's completion order.
+//
+//scenario:golden strategy=first-fit regime=none workload=control-plane file=testdata/dump_state_clean.golden
+func TestDumpStateCleanGolden(t *testing.T) {
+	s := cleanGoldenServer(t)
+	var b strings.Builder
+	b.WriteString(mustOK(t, s.Do(Request{Op: OpDump})).Dump)
+	dumps, err := s.DumpTenants()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dumps {
+		fmt.Fprintf(&b, "done %s: %s\n", d.Stats.Tenant, strings.Join(d.DoneLog, " "))
+	}
+	compareGolden(t, "dump_state_clean.golden", []byte(b.String()))
+}
+
 // TestDrainEmptiesFabric pins that a drained server holds no fabric
 // state: every tenant RPE reports zero busy regions and no loaded
 // configurations, and nothing is in flight.

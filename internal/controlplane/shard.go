@@ -282,11 +282,8 @@ func (sh *shard) dumpAll() []TenantDump {
 			//reconlint:sanitized doneLog is capped at maxDoneLog entries on completion, so this snapshot copy is bounded
 			DoneLog: append([]string(nil), te.doneLog...),
 		}
-		for _, n := range te.reg.Nodes() {
-			for _, e := range n.RPEs() {
-				st := e.Fabric.State()
-				d.Fabric = append(d.Fabric, e.ID+" "+st.String())
-			}
+		for _, e := range te.slice.RPEs() {
+			d.Fabric = append(d.Fabric, e.ID+" "+e.Fabric.State().String())
 		}
 		out = append(out, d)
 	}

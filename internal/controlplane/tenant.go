@@ -2,15 +2,18 @@ package controlplane
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/capability"
 	"repro/internal/faults"
+	"repro/internal/grid"
 	"repro/internal/hdl"
 	"repro/internal/jss"
 	"repro/internal/node"
-	"repro/internal/obs"
 	"repro/internal/pe"
 	"repro/internal/rms"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/task"
 )
@@ -42,11 +45,11 @@ type TenantStats struct {
 	InFlight  int `json:"in_flight"`
 	// Retries counts fault-aborted attempts that were re-queued.
 	Retries int `json:"retries"`
-	// FaultAborts counts execution attempts killed by an injected fault
-	// (whether or not the task was later re-queued). RepairedTasks and
-	// RepairSeconds accumulate the repair record: a task that completes
-	// after at least one fault abort contributes the virtual time from
-	// its last fault strike to its completion, so
+	// FaultAborts counts execution attempts the engine aborted for a
+	// fault (whether or not the task was later re-queued). RepairedTasks
+	// and RepairSeconds are the engine's MTTR record: a task completing
+	// after at least one abort contributes the virtual time from its
+	// last abort to its completion, so
 	// RepairSeconds/RepairedTasks is the tenant's mean time to repair.
 	// All three are omitempty: fault-free runs serialize exactly as
 	// before these fields existed.
@@ -94,27 +97,20 @@ func (s taskState) String() string {
 // cpTask is one accepted task riding through a tenant engine.
 type cpTask struct {
 	id    string
-	t     *task.Task
 	sub   *jss.Submission
 	state taskState
-	// attempts counts fault-aborted executions so far; lastFaultAt is
-	// the virtual time of the most recent abort, the start of the repair
-	// window MTTR accounting measures.
-	attempts    int
-	lastFaultAt sim.Time
-	// queuedAt/doneAt are tenant-virtual times.
-	queuedAt sim.Time
-	doneAt   sim.Time
 }
 
 // tenantEngine is one tenant's deterministic slice of the control plane:
-// a vFPGA slice (a private registry/matchmaker over the tier's device
-// set), a jss instance for validation/quotas/cost accounting, a lease
-// monitor, and a discrete-event simulator providing the virtual clock
-// work executes under. Everything the engine does is a pure function of
-// (tenant seed, op sequence): it draws no wall-clock time and no global
-// randomness, which is what makes per-tenant results independent of the
-// shard count and of cross-tenant interleaving.
+// admission (token bucket, queue bound, cost budget) and bookkeeping in
+// front of one grid.Engine that runs the tenant's vFPGA slice — a single
+// node named after the tenant, carrying the tier's devices. The engine
+// places, leases, retries and accounts faults exactly as it does for
+// DReAMSim; the tenant feeds it one admitted task at a time, in
+// admission order (grid.Engine.RunNext). Everything is a pure function of
+// (tenant seed, op sequence): no wall-clock time and no global
+// randomness reach the engine, which is what makes per-tenant results
+// independent of the shard count and of cross-tenant interleaving.
 //
 // A tenantEngine is owned by exactly one shard goroutine; it needs no
 // locking.
@@ -122,18 +118,11 @@ type tenantEngine struct {
 	id     string
 	tier   Tier
 	policy TierPolicy
-	seed   uint64
 
-	reg *rms.Registry
-	mm  *rms.Matchmaker
-	mon *rms.Monitor
-	jss *jss.JSS
-	sim *sim.Simulator
-
-	// faultEvents is the precomputed, time-sorted fault timeline for the
-	// slice; faultIdx the consumption cursor (virtual time is monotone).
-	faultEvents []faults.Event
-	faultIdx    int
+	eng *grid.Engine
+	// slice is the engine's one node, kept for the dump: a crashed node
+	// leaves the registry until it recovers.
+	slice *node.Node
 
 	queue []*cpTask
 	tasks map[string]*cpTask
@@ -143,31 +132,22 @@ type tenantEngine struct {
 	// grow memory with every task a tenant ever completed.
 	doneLog []string
 
-	bucket tokenBucket
-	// costBudget caps total accepted cost when positive (wired through
-	// jss QoS so over-budget submissions reject with ErrQuotaExceeded).
-	costBudget float64
+	// cfg is the server configuration (cost budget, sink, sampling).
+	cfg        *Config
+	bucket     tokenBucket
 	quotedCost float64
 
 	stats TenantStats
-
-	// Observability: nil sink disables emission entirely.
-	sink      obs.TraceSink
-	name      obs.Name
-	elemNames map[*node.Element]obs.Name
-	// sampleEvery emits a gauge sample every N completions (0 = off).
-	sampleEvery int
+	// sinceSample counts completions since the last gauge sample.
 	sinceSample int
-
-	// reqs are the shared per-scenario requirement sets.
-	reqs tenantReqs
 }
 
-type tenantReqs struct {
-	software capability.Requirements
-	softcore capability.Requirements
-	userHW   capability.Requirements
-}
+// The per-scenario requirement sets, shared read-only by every task.
+var (
+	softwareReq = task.GPPOnly(1000, 256)
+	softcoreReq = capability.Requirements{}.Min(capability.ParamSoftIssueWidth, 2)
+	userHWReq   = task.FPGAFamily("Virtex-5", 1)
+)
 
 // newTenantEngine builds a tenant's slice for its tier. The clock
 // argument seeds the admission bucket's refill timeline.
@@ -188,7 +168,7 @@ func newTenantEngine(id string, tier Tier, seed uint64, cfg *Config, nowNanos in
 		policy.Burst = cfg.BurstOverride
 	}
 
-	n, err := node.New("n0")
+	n, err := node.New(id)
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +187,7 @@ func newTenantEngine(id string, tier Tier, seed uint64, cfg *Config, nowNanos in
 	if err := reg.AddNode(n); err != nil {
 		return nil, err
 	}
-	tc, err := hdl.NewToolchain("Xilinx ISE 13", "Virtex-4", "Virtex-5", "Virtex-6")
+	tc, err := grid.DefaultToolchain()
 	if err != nil {
 		return nil, err
 	}
@@ -215,49 +195,49 @@ func newTenantEngine(id string, tier Tier, seed uint64, cfg *Config, nowNanos in
 	if err != nil {
 		return nil, err
 	}
-
-	te := &tenantEngine{
-		id:     id,
-		tier:   tier,
-		policy: policy,
-		seed:   seed,
-		reg:    reg,
-		mm:     mm,
-		mon:    rms.NewMonitor(),
-		jss:    jss.New(),
+	gcfg := grid.Config{
+		Strategy: sched.FirstFit{},
+		// The slice sits next to the RMS: no latency and unbounded
+		// bandwidth, so no transfer is ever charged.
+		LinkMBps: math.Inf(1),
+		Tracer:   cfg.Sink,
 		// Tenant simulators are small (a handful of pending events);
 		// the binary heap beats the timing wheel's fixed footprint at
 		// thousands-of-tenants scale.
-		sim:         sim.NewSimulator(sim.WithScheduler(sim.NewHeapQueue())),
-		tasks:       make(map[string]*cpTask),
-		bucket:      newTokenBucket(policy.RatePerSec, policy.Burst, nowNanos),
-		costBudget:  cfg.CostBudgetUnits,
-		sink:        cfg.Sink,
-		sampleEvery: cfg.SampleEvery,
-		reqs: tenantReqs{
-			software: task.GPPOnly(1000, 256),
-			softcore: capability.Requirements{}.Min(capability.ParamSoftIssueWidth, 2),
-			userHW:   task.FPGAFamily("Virtex-5", 1),
-		},
-		stats: TenantStats{Tenant: id, Tier: tier.String()},
+		Scheduler: newHeapScheduler,
 	}
-	if te.sink != nil {
-		te.name = obs.Str(id)
-		te.elemNames = make(map[*node.Element]obs.Name)
-	}
+	var events []faults.Event
 	if cfg.Faults.Enabled() {
-		rng := sim.NewRNG(seed).Split(faults.ScheduleStream)
-		events, err := faults.Schedule(rng, cfg.Faults, []string{n.ID})
-		if err != nil {
+		f := cfg.Faults
+		f.Retry = policy.Retry
+		gcfg.Faults = &f
+		if events, err = faults.Schedule(sim.NewRNG(seed).Split(faults.ScheduleStream), f, []string{id}); err != nil {
 			return nil, err
 		}
-		te.faultEvents = events
 	}
-	return te, nil
+	eng, err := grid.NewEngine(gcfg, reg, mm)
+	if err != nil {
+		return nil, err
+	}
+	eng.InjectFaults(events)
+
+	return &tenantEngine{
+		id:     id,
+		tier:   tier,
+		policy: policy,
+		eng:    eng,
+		slice:  n,
+		tasks:  make(map[string]*cpTask),
+		bucket: newTokenBucket(policy.RatePerSec, policy.Burst, nowNanos),
+		cfg:    cfg,
+		stats:  TenantStats{Tenant: id, Tier: tier.String()},
+	}, nil
 }
 
+func newHeapScheduler() sim.Scheduler { return sim.NewHeapQueue() }
+
 // buildTask turns a validated wire TaskSpec into the paper's task tuple.
-func (te *tenantEngine) buildTask(spec *TaskSpec) (*task.Task, error) {
+func buildTask(spec *TaskSpec) (*task.Task, error) {
 	t := &task.Task{
 		ID: spec.ID,
 		Work: pe.Work{
@@ -273,15 +253,15 @@ func (te *tenantEngine) buildTask(spec *TaskSpec) (*task.Task, error) {
 	}
 	switch spec.Scenario {
 	case "", "software":
-		t.ExecReq = task.ExecReq{Scenario: pe.SoftwareOnly, Requirements: te.reqs.software}
+		t.ExecReq = task.ExecReq{Scenario: pe.SoftwareOnly, Requirements: softwareReq}
 	case "softcore":
-		t.ExecReq = task.ExecReq{Scenario: pe.PredeterminedHW, SoftcoreISA: "rvex-vliw", Requirements: te.reqs.softcore}
+		t.ExecReq = task.ExecReq{Scenario: pe.PredeterminedHW, SoftcoreISA: "rvex-vliw", Requirements: softcoreReq}
 	case "userhw":
 		d, err := hdl.LookupIP(spec.Design)
 		if err != nil {
 			return nil, errWire(CodeInvalidTask, "task %q: %v", spec.ID, err)
 		}
-		t.ExecReq = task.ExecReq{Scenario: pe.UserDefinedHW, Requirements: te.reqs.userHW, Design: d}
+		t.ExecReq = task.ExecReq{Scenario: pe.UserDefinedHW, Requirements: userHWReq, Design: d}
 		t.Work.HWSpeedup = d.AccelFactor
 	default:
 		return nil, errWire(CodeInvalidTask, "task %q: unknown scenario %q", spec.ID, spec.Scenario)
@@ -312,7 +292,7 @@ func (te *tenantEngine) submit(spec *TaskSpec, nowNanos int64, draining bool) Re
 		te.stats.QuotaDenied++
 		return fail(errWire(CodeQuotaExceeded, "tenant %q is over its %s-tier admission rate", te.id, te.tier))
 	}
-	t, err := te.buildTask(spec)
+	t, err := buildTask(spec)
 	if err != nil {
 		return fail(err)
 	}
@@ -322,18 +302,18 @@ func (te *tenantEngine) submit(spec *TaskSpec, nowNanos int64, draining bool) Re
 		return fail(errWire(CodeInvalidTask, "task %q: %q", spec.ID, err))
 	}
 	var qos jss.QoS
-	if te.costBudget > 0 {
-		remaining := te.costBudget - te.stats.CostUnits - te.quotedCost
+	if budget := te.cfg.CostBudgetUnits; budget > 0 {
+		remaining := budget - te.stats.CostUnits - te.quotedCost
 		if remaining <= 0 {
 			// The budget is spent (or fully quoted away): reject here
 			// rather than via the jss gate, whose MaxCostUnits <= 0
 			// means "uncapped" and would admit everything.
 			te.stats.QuotaDenied++
-			return fail(errWire(CodeQuotaExceeded, "tenant %q exhausted its cost budget %.2f", te.id, te.costBudget))
+			return fail(errWire(CodeQuotaExceeded, "tenant %q exhausted its cost budget %.2f", te.id, budget))
 		}
 		qos.MaxCostUnits = remaining
 	}
-	sub, err := te.jss.Submit(te.id, g, nil, qos, te.sim.Now())
+	sub, err := te.eng.J.Submit(te.id, g, nil, qos, te.eng.S.Now())
 	if err != nil {
 		if ErrorCode(err) == CodeQuotaExceeded {
 			te.stats.QuotaDenied++
@@ -342,12 +322,11 @@ func (te *tenantEngine) submit(spec *TaskSpec, nowNanos int64, draining bool) Re
 	}
 	te.quotedCost += sub.QuotedCost
 
-	ct := &cpTask{id: spec.ID, t: t, sub: sub, state: stateQueued, queuedAt: te.sim.Now()}
+	ct := &cpTask{id: spec.ID, sub: sub, state: stateQueued}
 	te.queue = append(te.queue, ct)
 	te.tasks[spec.ID] = ct
 	te.stats.Accepted++
 	te.stats.InFlight++
-	te.emit(obs.KindQueued, ct, nil)
 	return Response{OK: true, Op: OpSubmit, Tenant: te.id, TaskID: spec.ID, State: ct.state.String()}
 }
 
@@ -363,16 +342,9 @@ func (te *tenantEngine) cancel(taskID string) Response {
 		resp.State = ct.state.String()
 		return resp
 	}
-	for i, q := range te.queue {
-		if q == ct {
-			//reconlint:sanitized queue length is bounded by policy.MaxQueue at admission, so this removal copy is bounded
-			te.queue = append(te.queue[:i], te.queue[i+1:]...)
-			break
-		}
-	}
+	te.queue = slices.DeleteFunc(te.queue, func(q *cpTask) bool { return q == ct })
 	ct.state = stateCanceled
-	ct.doneAt = te.sim.Now()
-	te.jss.Fail(ct.sub.ID, te.sim.Now(), "canceled by user")
+	te.eng.J.Fail(ct.sub.ID, te.eng.S.Now(), "canceled by user")
 	te.quotedCost -= ct.sub.QuotedCost
 	te.stats.Canceled++
 	te.stats.InFlight--
@@ -388,231 +360,54 @@ func (te *tenantEngine) status(taskID string) Response {
 	return Response{OK: true, Op: OpStatus, Tenant: te.id, TaskID: taskID, State: ct.state.String()}
 }
 
-// snapshot returns the tenant's counters with the live queue depth.
+// snapshot returns the tenant's counters, folding in the engine's
+// fault record and virtual clock.
 func (te *tenantEngine) snapshot() TenantStats {
 	s := te.stats
-	s.VirtualSeconds = float64(te.sim.Now())
+	m := te.eng.Metrics()
+	s.Retries = m.Retries
+	s.FaultAborts = m.Failures
+	s.RepairedTasks = m.MTTR.N()
+	s.RepairSeconds = m.MTTR.Sum()
+	s.VirtualSeconds = float64(te.eng.S.Now())
 	return s
 }
 
 // hasWork reports whether the tenant has queued tasks.
 func (te *tenantEngine) hasWork() bool { return len(te.queue) > 0 }
 
-// step executes the head-of-queue task to a terminal state in virtual
-// time and returns true; false when the queue is empty.
-func (te *tenantEngine) step() bool {
-	if len(te.queue) == 0 {
-		return false
-	}
+// step runs the head-of-queue task to a terminal state in virtual time;
+// the caller checks hasWork first.
+func (te *tenantEngine) step() {
 	ct := te.queue[0]
 	te.queue = te.queue[1:]
-	te.schedule(ct, 0)
-	// Run drains the attempt/retry/completion events this task put on the
-	// tenant's simulator; no other task is in flight, so the queue is
-	// empty again when Run returns.
-	if err := te.sim.Run(); err != nil {
-		// Run only errors via Stop, which nothing here calls.
-		panic(fmt.Sprintf("controlplane: tenant %q simulator: %v", te.id, err))
+	// Admission and cancel keep the JSS queue in lockstep with te.queue.
+	if te.eng.RunNext() != ct.sub {
+		panic("controlplane: tenant submission run out of admission order")
 	}
-	return true
-}
-
-// schedule arms one execution attempt for ct after delay.
-func (te *tenantEngine) schedule(ct *cpTask, delay sim.Time) {
-	te.sim.After(delay, "attempt", func() {
-		te.attempt(ct, te.sim.Now())
-	})
-}
-
-// attempt places and executes ct once: match, lease, charge the
-// reconfiguration/synthesis/execution time, and either complete at the
-// end or abort at the first fault that strikes the window.
-func (te *tenantEngine) attempt(ct *cpTask, now sim.Time) {
-	cands, err := te.mm.Candidates(ct.t.ExecReq)
-	if err != nil || len(cands) == 0 {
-		te.evict(ct, now, "no feasible mapping on the tenant slice")
-		return
-	}
-	// First-fit over the deterministic candidate order: the slice is
-	// private and the engine runs one task at a time, so the first
-	// candidate is free by construction.
-	cand := cands[0]
-	lease, err := te.mm.Allocate(cand, ct.t.ExecReq)
-	if err != nil {
-		te.evict(ct, now, err.Error())
-		return
-	}
-	exec, err := lease.Estimator.EstimateSeconds(ct.t.Work)
-	if err != nil {
-		te.release(lease, false)
-		te.evict(ct, now, err.Error())
-		return
-	}
-	overhead := lease.ReconfigDelay + lease.CompactionDelay + sim.Time(lease.SynthesisSeconds)
-	total := overhead + sim.Time(exec)
-	ttl := total + 1
-	if err := te.mon.Grant(lease, now+ttl); err != nil {
-		te.release(lease, false)
-		te.evict(ct, now, err.Error())
-		return
-	}
-
-	te.emit(obs.KindDispatch, ct, cand.Elem)
-	if lease.ReconfigDelay > 0 {
-		te.emit(obs.KindReconfig, ct, cand.Elem)
-	}
-
-	kind := elementKind(cand)
-	if strike, hit := te.faultWithin(now, now+total); hit {
-		// The attempt dies at the strike: the monitor expires the lease,
-		// the element is released, and the task retries (tier policy
-		// permitting) after backoff.
-		te.sim.Schedule(strike, "fault-abort", func() {
-			at := te.sim.Now()
-			te.release(lease, true)
-			te.emit(obs.KindFail, ct, cand.Elem)
-			ct.attempts++
-			ct.lastFaultAt = at
-			te.stats.FaultAborts++
-			if ct.attempts > te.policy.Retry.MaxRetries {
-				te.evict(ct, at, "retries exhausted")
-				return
-			}
-			te.stats.Retries++
-			te.emit(obs.KindRetry, ct, nil)
-			te.schedule(ct, sim.Time(te.policy.Retry.Delay(ct.attempts)))
-		})
-		return
-	}
-	te.sim.Schedule(now+total, "complete", func() {
-		at := te.sim.Now()
-		te.release(lease, false)
-		ct.state = stateDone
-		ct.doneAt = at
-		te.jss.ChargeFor(ct.sub, exec, kind)
-		te.jss.TaskDoneFor(ct.sub, at)
-		te.quotedCost -= ct.sub.QuotedCost
-		te.stats.CostUnits += ct.sub.FinalCost
-		te.stats.Completed++
-		te.stats.InFlight--
-		if ct.attempts > 0 {
-			te.stats.RepairedTasks++
-			te.stats.RepairSeconds += float64(at - ct.lastFaultAt)
-		}
-		te.doneLog = append(te.doneLog, ct.id)
-		if len(te.doneLog) > maxDoneLog {
-			te.doneLog = te.doneLog[len(te.doneLog)-maxDoneLog:]
-		}
-		te.emit(obs.KindComplete, ct, cand.Elem)
-		te.sample()
-	})
-}
-
-// release settles (or expires) the lease with the monitor and frees the
-// element.
-func (te *tenantEngine) release(l *rms.Lease, expired bool) {
-	if te.mon.Active(l) {
-		if expired {
-			te.mon.Expire(l)
-		} else {
-			te.mon.Settle(l)
-		}
-	}
-	// Release can only fail on double release, which the call sites
-	// exclude by construction.
-	if err := l.Release(); err != nil {
-		panic(fmt.Sprintf("controlplane: tenant %q lease: %v", te.id, err))
-	}
-}
-
-// evict terminates ct without completion.
-func (te *tenantEngine) evict(ct *cpTask, now sim.Time, reason string) {
-	ct.state = stateEvicted
-	ct.doneAt = now
-	te.jss.Fail(ct.sub.ID, now, reason)
 	te.quotedCost -= ct.sub.QuotedCost
-	te.stats.Evicted++
 	te.stats.InFlight--
-	te.emit(obs.KindLost, ct, nil)
-}
-
-// faultWithin returns the first crash/SEU/partition strike in (from, to],
-// consuming every fault event with time ≤ to. Virtual time is monotone
-// per tenant, so a single cursor suffices.
-func (te *tenantEngine) faultWithin(from, to sim.Time) (sim.Time, bool) {
-	for te.faultIdx < len(te.faultEvents) {
-		ev := te.faultEvents[te.faultIdx]
-		if ev.Time > to {
-			return 0, false
-		}
-		te.faultIdx++
-		if ev.Time <= from {
-			continue
-		}
-		switch ev.Kind {
-		case faults.KindNodeCrash, faults.KindSEU:
-			return ev.Time, true
-		case faults.KindLinkDegrade:
-			if ev.Partition {
-				return ev.Time, true
-			}
-		}
-	}
-	return 0, false
-}
-
-// elementKind classifies a candidate's element for cost accounting.
-func elementKind(c rms.Candidate) capability.Kind {
-	if c.Core != nil || c.Fallback {
-		return capability.KindSoftcore
-	}
-	return c.Elem.Kind
-}
-
-// emit sends one lifecycle event to the sink (no-op without one).
-func (te *tenantEngine) emit(kind obs.Kind, ct *cpTask, elem *node.Element) {
-	if te.sink == nil {
+	if ct.sub.Status != jss.StatusDone {
+		ct.state = stateEvicted
+		te.stats.Evicted++
 		return
 	}
-	var en obs.Name
-	if elem != nil {
-		var ok bool
-		if en, ok = te.elemNames[elem]; !ok {
-			en = obs.Str(elem.ID)
-			te.elemNames[elem] = en
+	ct.state = stateDone
+	te.stats.CostUnits += ct.sub.FinalCost
+	te.stats.Completed++
+	te.doneLog = append(te.doneLog, ct.id)
+	if len(te.doneLog) > maxDoneLog {
+		te.doneLog = te.doneLog[len(te.doneLog)-maxDoneLog:]
+	}
+	// Every SampleEvery completions, the engine's gauges go to the sink
+	// with the queue depth of the tenant's own FIFO. (The engine emits
+	// the lifecycle events to the same sink itself.)
+	if te.cfg.Sink != nil && te.cfg.SampleEvery > 0 {
+		if te.sinceSample++; te.sinceSample >= te.cfg.SampleEvery {
+			te.sinceSample = 0
+			s := te.eng.Sample()
+			s.QueueDepth = len(te.queue)
+			te.cfg.Sink.Sample(s)
 		}
 	}
-	te.sink.Emit(obs.Event{
-		Time:    te.sim.Now(),
-		Kind:    kind,
-		TaskID:  obs.Str(ct.id),
-		Node:    te.name,
-		Element: en,
-	})
-}
-
-// sample emits a per-tenant gauge sample every sampleEvery completions.
-func (te *tenantEngine) sample() {
-	if te.sink == nil || te.sampleEvery <= 0 {
-		return
-	}
-	te.sinceSample++
-	if te.sinceSample < te.sampleEvery {
-		return
-	}
-	te.sinceSample = 0
-	s := obs.Sample{
-		Time:       te.sim.Now(),
-		QueueDepth: len(te.queue),
-		Completed:  te.stats.Completed,
-	}
-	for _, n := range te.reg.Nodes() {
-		for _, e := range n.RPEs() {
-			st := e.Fabric.State()
-			s.FabricRegions += len(st.Configurations)
-			s.FabricSlicesUsed += st.TotalSlices - st.AvailableSlices
-			s.FabricSlicesTotal += st.TotalSlices
-		}
-	}
-	te.sink.Sample(s)
 }

@@ -21,8 +21,8 @@ const (
 	// TierVirtualized rents a vFPGA share of a device: the default tier.
 	TierVirtualized
 	// TierBackground rents best-effort batch capacity: the smallest
-	// slice, the deepest queue, the lowest priority, and no retries —
-	// fault-aborted background work is evicted immediately.
+	// slice, the deepest queue, the lowest priority, and a single retry —
+	// background work aborted twice by faults is evicted.
 	TierBackground
 )
 
@@ -104,7 +104,9 @@ func (t Tier) Policy() TierPolicy {
 			MaxQueue:   16384,
 			RatePerSec: 500,
 			Burst:      16384,
-			Retry:      faults.RetryPolicy{},
+			// faults.RetryPolicy reads MaxRetries 0 as unlimited, so the
+			// smallest bound is one retry.
+			Retry: faults.RetryPolicy{MaxRetries: 1, BackoffSeconds: 0.5},
 		}
 	default: // TierVirtualized
 		return TierPolicy{

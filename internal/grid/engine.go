@@ -402,7 +402,11 @@ func (e *Engine) enqueue(run *appRun, taskID string) {
 	}
 	e.seq++
 	e.m.Submitted++
-	it := &item{run: run, t: t, tid: obs.Str(taskID), enq: e.S.Now(), seq: e.seq}
+	it := &item{run: run, t: t, enq: e.S.Now(), seq: e.seq}
+	if e.cfg.Tracer != nil {
+		// Interning takes a process-wide lock and never frees the entry.
+		it.tid = obs.Str(taskID)
+	}
 	e.pushQueue(it, true)
 	e.J.NotifyFor(run.sub, e.S.Now(), taskID, "queued")
 	e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindQueued, TaskID: it.tid})
@@ -705,10 +709,13 @@ func (e *Engine) startSampler() {
 	e.S.Schedule(e.S.Now(), "obs-sample", tick)
 }
 
-// emitSample snapshots the engine's gauges into one obs.Sample. It walks
-// the registry in registration order (deterministic) and reads only —
-// sampling cannot perturb the run.
-func (e *Engine) emitSample() {
+// emitSample sends one gauge snapshot to the tracer.
+func (e *Engine) emitSample() { e.cfg.Tracer.Sample(e.Sample()) }
+
+// Sample snapshots the engine's gauges. It walks the registry in
+// registration order (deterministic) and reads only — sampling cannot
+// perturb the run.
+func (e *Engine) Sample() obs.Sample {
 	s := obs.Sample{
 		Time:         e.S.Now(),
 		QueueDepth:   len(e.queue),
@@ -747,7 +754,7 @@ func (e *Engine) emitSample() {
 	s.UtilGPP = unitRatio(s.RunningGPP, unitsGPP)
 	s.UtilFPGA = unitRatio(s.RunningFPGA, unitsFPGA)
 	s.UtilGPU = unitRatio(s.RunningGPU, unitsGPU)
-	e.cfg.Tracer.Sample(s)
+	return s
 }
 
 // unitRatio divides occupancy by capacity, 0 when capacity is absent.
@@ -875,6 +882,61 @@ func (e *Engine) Run(ctx context.Context) (*Metrics, error) {
 	return e.m, nil
 }
 
+// RunNext starts the next admitted submission (the JSS queue head) at
+// the current clock, steps the simulator until it is done or failed, and
+// returns it (nil when none is queued). Work that fails to place while
+// nothing runs, backs off, is down or is partitioned is failed as
+// unschedulable at once rather than waiting on fault events. A caller
+// using only RunNext keeps one submission in flight, so virtual time is
+// a function of the admission order alone.
+func (e *Engine) RunNext() *jss.Submission {
+	sub := e.J.Dequeue()
+	if sub == nil {
+		return nil
+	}
+	e.start(&appRun{sub: sub})
+	for sub.Status == jss.StatusRunning {
+		if len(e.queue) > 0 && e.starved() {
+			e.m.Unfinished += len(e.queue)
+			for _, it := range e.queue {
+				e.unschedulable(it, e.S.Now())
+			}
+			e.queue = e.queue[:0]
+			break
+		}
+		if !e.S.Step() {
+			break
+		}
+	}
+	return sub
+}
+
+// starved reports whether no pending event can free capacity for queued
+// work: none is pending, or nothing runs, backs off, is down or is
+// partitioned.
+func (e *Engine) starved() bool {
+	busy := e.retryPending + len(e.down)
+	for _, n := range e.runningByKind {
+		busy += n
+	}
+	for _, f := range e.linkFault {
+		if f.Partition {
+			busy++
+		}
+	}
+	return busy == 0 || e.S.Pending() == 0
+}
+
+// unschedulable fails a queued task's submission.
+func (e *Engine) unschedulable(it *item, now sim.Time) {
+	e.J.Fail(it.run.sub.ID, now, "task "+it.t.ID+" unschedulable under "+e.cfg.Strategy.Name())
+}
+
+// Metrics returns the live metrics record. Run completes it with the
+// end-of-run window, capacity and outage accounting; an engine driven
+// by RunNext reads it as is.
+func (e *Engine) Metrics() *Metrics { return e.m }
+
 // finish folds end-of-run accounting into the metrics: queued tasks
 // (plus tasks waiting out a retry backoff or stranded in flight at the
 // horizon) become unfinished, their submissions fail, open outages are
@@ -891,9 +953,9 @@ func (e *Engine) finish() {
 	for _, list := range e.running {
 		inflight += len(list)
 	}
-	e.m.Unfinished = len(e.queue) + e.retryPending + inflight
+	e.m.Unfinished += len(e.queue) + e.retryPending + inflight
 	for _, it := range e.queue {
-		e.J.Fail(it.run.sub.ID, now, fmt.Sprintf("task %s unschedulable under %s", it.t.ID, e.cfg.Strategy.Name()))
+		e.unschedulable(it, now)
 	}
 	ids := make([]string, 0, len(e.downSince))
 	for id := range e.downSince {

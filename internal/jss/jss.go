@@ -8,6 +8,7 @@ package jss
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -301,11 +302,15 @@ func (j *JSS) TaskDoneFor(s *Submission, now sim.Time) {
 	s.DeadlineMet = s.QoS.DeadlineSeconds <= 0 || elapsed <= s.QoS.DeadlineSeconds
 }
 
-// Fail marks a submission failed with a reason.
+// Fail marks a submission failed with a reason. A submission failed
+// while still queued (canceled before it ran) leaves the queue.
 func (j *JSS) Fail(subID string, now sim.Time, reason string) {
 	s, ok := j.all[subID]
 	if !ok {
 		return
+	}
+	if s.Status == StatusQueued {
+		j.queue = slices.DeleteFunc(j.queue, func(q *Submission) bool { return q == s })
 	}
 	s.Status = StatusFailed
 	s.CompletedAt = now

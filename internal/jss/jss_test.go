@@ -181,6 +181,21 @@ func TestFail(t *testing.T) {
 	}
 }
 
+// TestFailQueuedLeavesQueue pins that a submission failed before it ran
+// (a canceled one) leaves the queue: Dequeue never hands it out.
+func TestFailQueuedLeavesQueue(t *testing.T) {
+	j := New()
+	canceled, _ := j.Submit("a", oneTaskGraph(t, "T1"), nil, QoS{}, 0)
+	next, _ := j.Submit("a", oneTaskGraph(t, "T2"), nil, QoS{}, 0)
+	j.Fail(canceled.ID, 1, "canceled by user")
+	if j.QueueLength() != 1 || canceled.Status != StatusFailed {
+		t.Fatalf("queue length %d, status %s after failing a queued submission", j.QueueLength(), canceled.Status)
+	}
+	if got := j.Dequeue(); got != next {
+		t.Errorf("Dequeue = %v, want the surviving submission", got)
+	}
+}
+
 func TestCostRates(t *testing.T) {
 	if CostRate(capability.KindFPGA) <= CostRate(capability.KindGPP) {
 		t.Error("FPGA time should cost more than GPP time")

@@ -1,6 +1,6 @@
 // Package deprecatedshim implements the reconlint analyzer that flags
 // uses of this module's deprecated functions and types, so
-// compatibility shims (like the late grid.RunScenarioArgs, or the
+// compatibility shims (like the late grid.RunScenarioArgs and
 // sim.EventQueue alias) cannot quietly accrete callers while awaiting
 // deletion.
 //

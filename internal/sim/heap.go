@@ -103,10 +103,3 @@ func (q *HeapQueue) dropCanceled() {
 		q.pool.recycle(heap.Pop(&q.h).(*Event))
 	}
 }
-
-// EventQueue is the pre-Scheduler name of the heap-backed event queue.
-//
-// Deprecated: use the Scheduler interface with NewHeapQueue (or
-// NewWheelQueue) instead; EventQueue will be removed once out-of-tree
-// callers have migrated.
-type EventQueue = HeapQueue

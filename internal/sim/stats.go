@@ -86,16 +86,21 @@ func (s *Series) N() int { return len(s.xs) }
 // guaranteed after a quantile query; callers needing order should copy first.
 func (s *Series) Values() []float64 { return append([]float64(nil), s.xs...) }
 
+// Sum returns the total of the observations.
+func (s *Series) Sum() float64 {
+	var sum float64
+	for _, x := range s.xs {
+		sum += x
+	}
+	return sum
+}
+
 // Mean returns the arithmetic mean, or 0 with no observations.
 func (s *Series) Mean() float64 {
 	if len(s.xs) == 0 {
 		return 0
 	}
-	var sum float64
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
+	return s.Sum() / float64(len(s.xs))
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) using linear interpolation

@@ -430,17 +430,3 @@ func DefaultControlPlaneConfig() ControlPlaneConfig {
 // ErrQuotaExceeded is the typed rejection a submission over its cost
 // quota returns (errors.Is-matchable).
 var ErrQuotaExceeded = jss.ErrQuotaExceeded
-
-// Deprecated shims, kept one release for migration; reconlint's
-// deprecatedshim analyzer flags any new use. See DESIGN.md for the
-// old-name → new-name table and the removal plan.
-
-// SimConfig is the former name of EngineConfig.
-//
-// Deprecated: use EngineConfig.
-type SimConfig = EngineConfig
-
-// DefaultSimConfig is the former name of DefaultEngineConfig.
-//
-// Deprecated: use DefaultEngineConfig.
-func DefaultSimConfig() EngineConfig { return DefaultEngineConfig() }
